@@ -19,9 +19,9 @@
 // The policy flags assemble the request-path chain (internal/policy):
 // deadline admission, per-client token-bucket rate limiting, a circuit
 // breaker, a result cache keyed by (circuit, wire set, cost epoch), and
-// the criticality scheduler (-edf: earliest-deadline-first batches,
-// least-critical-first shedding). Each element is off by default and
-// costs nothing while disabled.
+// the criticality scheduler (-edf: least-critical-first shedding at a
+// full gate; batches are earliest-deadline-first either way). Each
+// element is off by default and costs nothing while disabled.
 //
 // The tracing flags enable request-scoped observability
 // (internal/reqtrace): -trace assigns every request a process-unique id

@@ -110,7 +110,7 @@ func (c *Common) AddPolicy(fs *flag.FlagSet) {
 	fs.IntVar(&c.CacheSize, "cache-size", 0,
 		"result cache entries, keyed by (circuit, wire set, cost epoch) (0 = no cache)")
 	fs.BoolVar(&c.EDF, "edf", false,
-		"earliest-deadline-first batch ordering and least-critical-first shedding")
+		"least-critical-first shedding: at a full gate, a tighter deadline preempts the slackest queued request (batches are deadline-ordered either way)")
 	c.hasPolicy = true
 }
 

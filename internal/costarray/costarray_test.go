@@ -284,3 +284,16 @@ func splitLines(s string) []string {
 	}
 	return out
 }
+
+func TestAtomicSnapshot(t *testing.T) {
+	a := NewAtomic(geom.Grid{Channels: 4, Grids: 8})
+	a.Add(3, 2, 5)
+	a.Add(3, 2, -2)
+	snap := a.Snapshot()
+	if snap.At(3, 2) != 3 {
+		t.Errorf("snapshot = %d, want 3", snap.At(3, 2))
+	}
+	if a.At(0, 0) != 0 {
+		t.Errorf("untouched cell nonzero")
+	}
+}

@@ -9,64 +9,90 @@ import (
 )
 
 // This file is the dispatch stage of the request path: how admitted
-// requests become batches on a serving shard. Two disciplines exist
-// side by side:
-//
-//   - batchLoop (default): each shard owns a FIFO queue fed round-robin;
-//     the first arrival opens the batch window and arrivals are
-//     evaluated in arrival order.
-//   - edfLoop (policy.Sched enabled): shards pull from one deadline-
-//     ordered queue per circuit; the window still bounds latency but
-//     the batch is popped in earliest-deadline-first order, and a full
-//     admission gate preempts the slackest queued request instead of
-//     shedding the arrival (preempt).
+// requests become batches on a serving shard. Route pushes every
+// request onto its circuit's deadline-ordered queue; each of the
+// circuit's shards runs loop, which pulls the next batch from that one
+// shared queue — the paper's shared memory distributed loop, where
+// processes take the next wire from one counter instead of owning a
+// static share. The first arrival opens the batch window, the batch is
+// popped earliest-deadline-first, and with the criticality scheduler
+// enabled a full admission gate preempts the slackest queued request
+// instead of shedding the arrival (preempt).
 
-// batchLoop drains one shard's FIFO queue: the first arrival opens a
-// batch, the window (or MaxBatch, or drain) closes it, and the batch is
-// evaluated under the pool.
-func (s *Server) batchLoop(sc *servedCircuit, sh *shard) {
+// loop pulls deadline-ordered batches from the circuit's shared queue.
+// Requests stay in the queue until the window closes — that is what
+// keeps them visible to preempt — and PopBatch hands them over already
+// in earliest-deadline-first order, so the shard commits the most
+// critical work first. The batch buffer is owned by the loop and reused
+// for every batch: Pool.Run returns only once process is done with it.
+func (s *Server) loop(sc *servedCircuit, sh *shard) {
 	defer s.loops.Done()
+	q := sc.queue
+	batch := make([]*policy.Item, 0, s.cfg.MaxBatch)
 	for {
-		var first *pending
-		select {
-		case first = <-sh.queue:
-		case u := <-sh.updates:
-			// Idle shard: fold the mutation delta into the replica now.
-			// Only this loop touches sh.arr, so no lock is needed.
-			sh.apply(u)
-			continue
-		case <-sc.stop:
-			// Evicted: EvictCircuit waited out the circuit's in-flight
-			// requests before closing stop, so the queue is empty.
-			return
-		case <-s.stop:
-			// Drain: evaluate whatever is still queued, then exit.
-			for {
-				select {
-				case p := <-sh.queue:
-					s.cfg.Pool.Run(func() { s.process(sh, sc, []*pending{p}) })
-				default:
-					return
-				}
+		if q.Len() == 0 {
+			select {
+			case <-q.C():
+			case u := <-sh.updates:
+				// Idle shard: fold the mutation delta into the replica now.
+				// Only this loop touches sh.arr, so no lock is needed.
+				sh.apply(u)
+				continue
+			case <-sc.stop:
+				// Evicted after the circuit's in-flight requests drained;
+				// nothing is queued.
+				return
+			case <-s.stop:
+				s.drain(sc, sh, batch)
+				return
 			}
 		}
-		batch := []*pending{first}
+		// First arrival seen: open the window. More arrivals only bump
+		// the wake channel; the queue orders them. The loop condition
+		// re-checks the queue depth before every wait: a burst of >=
+		// MaxBatch pushes coalesces into the single buffered wake (often
+		// consumed by the empty-queue wait above), so waiting for another
+		// signal would sleep the whole window with a full batch already
+		// queued.
 		timer := time.NewTimer(s.cfg.BatchWindow)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
+	window:
+		for q.Len() < s.cfg.MaxBatch {
 			select {
-			case p := <-sh.queue:
-				batch = append(batch, p)
+			case <-timer.C:
+				break window
 			case u := <-sh.updates:
 				sh.apply(u)
-			case <-timer.C:
-				break collect
 			case <-s.stop:
-				break collect
+				break window
+			case <-q.C():
 			}
 		}
 		timer.Stop()
 		sh.drainUpdates()
+		batch = q.PopBatch(batch[:0], s.cfg.MaxBatch)
+		if q.Len() > 0 {
+			// Partial drain: re-arm the wake channel so a sibling shard
+			// (or the next lap) picks up the remainder.
+			q.Signal()
+		}
+		if len(batch) == 0 {
+			// The wave was consumed by a sibling or evicted by preempt.
+			continue
+		}
+		s.chain.Sched().NoteBatch()
+		s.cfg.Pool.Run(func() { s.process(sh, sc, batch) })
+	}
+}
+
+// drain evaluates everything still queued at shutdown. Close waits for
+// in-flight requests before closing stop, so the queue cannot grow
+// underneath the drain.
+func (s *Server) drain(sc *servedCircuit, sh *shard, batch []*policy.Item) {
+	for {
+		batch = sc.queue.PopBatch(batch[:0], s.cfg.MaxBatch)
+		if len(batch) == 0 {
+			return
+		}
 		s.cfg.Pool.Run(func() { s.process(sh, sc, batch) })
 	}
 }
@@ -93,88 +119,6 @@ func (sh *shard) drainUpdates() {
 		default:
 			return
 		}
-	}
-}
-
-// edfLoop pulls deadline-ordered batches from the circuit's shared
-// queue. Requests stay in the queue until the window closes — that is
-// what keeps them visible to preempt — and PopBatch hands them over
-// already in earliest-deadline-first order, so the shard commits the
-// most critical work first.
-func (s *Server) edfLoop(sc *servedCircuit, sh *shard) {
-	defer s.loops.Done()
-	q := sc.queue
-	for {
-		if q.Len() == 0 {
-			select {
-			case <-q.C():
-			case u := <-sh.updates:
-				sh.apply(u)
-				continue
-			case <-sc.stop:
-				// Evicted after the circuit's in-flight requests drained;
-				// nothing is queued.
-				return
-			case <-s.stop:
-				s.drainEDF(sc, sh)
-				return
-			}
-		}
-		// First arrival seen: open the window. More arrivals only bump
-		// the wake channel; the queue orders them. The loop condition
-		// re-checks the queue depth before every wait: a burst of >=
-		// MaxBatch pushes coalesces into the single buffered wake (often
-		// consumed by the empty-queue wait above), so waiting for another
-		// signal would sleep the whole window with a full batch already
-		// queued.
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	window:
-		for q.Len() < s.cfg.MaxBatch {
-			select {
-			case <-timer.C:
-				break window
-			case u := <-sh.updates:
-				sh.apply(u)
-			case <-s.stop:
-				break window
-			case <-q.C():
-			}
-		}
-		timer.Stop()
-		sh.drainUpdates()
-		batch := q.PopBatch(s.cfg.MaxBatch)
-		if q.Len() > 0 {
-			// Partial drain: re-arm the wake channel so a sibling shard
-			// (or the next lap) picks up the remainder.
-			q.Signal()
-		}
-		if len(batch) == 0 {
-			// The wave was consumed by a sibling or evicted by preempt.
-			continue
-		}
-		s.chain.Sched().NoteBatch()
-		pend := make([]*pending, len(batch))
-		for i, it := range batch {
-			pend[i] = it.Value.(*pending)
-		}
-		s.cfg.Pool.Run(func() { s.process(sh, sc, pend) })
-	}
-}
-
-// drainEDF evaluates everything still queued at shutdown. Close waits
-// for in-flight requests before closing stop, so the queue cannot grow
-// underneath the drain.
-func (s *Server) drainEDF(sc *servedCircuit, sh *shard) {
-	for {
-		batch := sc.queue.PopBatch(s.cfg.MaxBatch)
-		if len(batch) == 0 {
-			return
-		}
-		pend := make([]*pending, len(batch))
-		for i, it := range batch {
-			pend[i] = it.Value.(*pending)
-		}
-		s.cfg.Pool.Run(func() { s.process(sh, sc, pend) })
 	}
 }
 
@@ -247,15 +191,16 @@ func (s *Server) preempt(deadline time.Time) bool {
 // the routing scratch is borrowed from the server's grid-keyed pool
 // for the batch and returned afterwards, so the per-request cost stays
 // at the reused-scratch allocation floor (see backend.ScratchPool).
-// EDF batches arrive deadline-ordered; FIFO batches arrive in arrival
-// order — either way BatchIndex records the commit order.
-func (s *Server) process(sh *shard, sc *servedCircuit, batch []*pending) {
+// Batches arrive deadline-ordered, and BatchIndex records the commit
+// order.
+func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 	view := route.ArrayView{A: sh.arr}
 	scratch := s.scratch.Get(sc.grid)
 	defer s.scratch.Put(sc.grid, scratch)
 	tr := s.cfg.Tracer
 	batchStart := tr.Now() // 0 when tracing is disabled
-	for i, p := range batch {
+	for i, it := range batch {
+		p := it.Value.(*pending)
 		if p.ctx.Err() != nil {
 			// The waiter usually counted this expiry already (ctx.Done
 			// fires for it too); countExpired keeps the tally at one.

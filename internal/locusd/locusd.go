@@ -9,18 +9,24 @@
 // replicated views: requests never contend on a shared array, and a
 // committed wire lands only on the replica that served it.
 //
-// The request path is a policy chain (internal/policy) around a batching
-// core. Admission runs deadline feasibility, per-client rate limiting
-// and a circuit breaker; a result cache keyed by (circuit, wire set,
-// cost epoch) can answer repeats without routing; and the criticality
-// scheduler replaces FIFO round-robin dispatch with earliest-deadline-
-// first ordering inside the batch window plus least-critical-first
-// shedding at the admission gate. Every element is nil when disabled —
-// a fully disabled chain leaves the request path byte-for-byte on the
-// original batching core at zero measurable cost (BENCH_policy.json).
+// Every admitted request enters its circuit's deadline-ordered queue
+// (policy.EDFQueue), and the circuit's shards pull batches from it —
+// the shared memory "distributed loop" of the paper, where processes
+// take the next wire from one shared work pool rather than a static
+// round-robin assignment. Route gives every request a deadline, so over
+// equal deadline offsets the queue is arrival order; tighter deadlines
+// are evaluated first.
 //
-// Requests that arrive at a shard within one batching window are grouped
-// and evaluated back to back through a route.Scratch borrowed from a
+// Around that core sits a policy chain (internal/policy). Admission
+// runs deadline feasibility, per-client rate limiting and a circuit
+// breaker; a result cache keyed by (circuit, wire set, cost epoch) can
+// answer repeats without routing; and the criticality scheduler turns
+// shedding at a full admission gate into least-critical-first
+// preemption. Every element is nil when disabled, at zero measurable
+// cost (BENCH_policy.json).
+//
+// Requests a shard pulls within one batching window are grouped and
+// evaluated back to back through a route.Scratch borrowed from a
 // grid-keyed backend.ScratchPool for the batch (reused scratch space is
 // what makes the steady state allocation-free). A
 // par.Gate bounds admitted requests — a full gate sheds load with HTTP
@@ -84,7 +90,9 @@ type Config struct {
 	// Router tunes the route kernel (zero value = route.DefaultParams).
 	Router route.Params
 	// Policy configures the request-path chain; the zero value disables
-	// every element, leaving the original FIFO round-robin path.
+	// every element. Dispatch is deadline-ordered either way: Policy.EDF
+	// only adds least-critical-first preemption at a full gate and the
+	// edf counters.
 	Policy policy.Config
 	// Tracer enables request-lifecycle tracing (internal/reqtrace):
 	// request ids, per-stage spans, stage histograms, the slow-request
@@ -210,11 +218,14 @@ type StageSample struct {
 // ErrTraceID rejects an oversized caller-supplied trace id.
 var ErrTraceID = fmt.Errorf("locusd: trace id exceeds %d bytes", reqtrace.MaxTraceID)
 
-// pending is one admitted request waiting for its shard.
+// pending is one admitted request waiting for a shard.
 type pending struct {
+	// item is the request's entry in its circuit's queue: the ctx
+	// deadline (its criticality) with Value pointing back at the
+	// pending. Embedding it makes the push allocation-free.
+	item     policy.Item
 	req      RouteRequest
 	ctx      context.Context
-	deadline time.Time // ctx deadline (zero = none); the EDF criticality
 	enqueued time.Time
 	done     chan outcome
 	// gateHeld arbitrates the request's admission slot between its own
@@ -246,15 +257,15 @@ type outcome struct {
 	traced bool
 }
 
-// shard is one serving replica: a private cost array and a queue
-// drained by its batching loop. Routing scratch space is not owned by
-// the shard — batches borrow it from the server's grid-keyed pool
-// (backend.ScratchPool), so idle replicas hold no scratch memory and
-// every circuit with the same grid shares one warm set.
+// shard is one serving replica: a private cost array and the loop that
+// pulls batches for it from the circuit's queue. Routing scratch space
+// is not owned by the shard — batches borrow it from the server's
+// grid-keyed pool (backend.ScratchPool), so idle replicas hold no
+// scratch memory and every circuit with the same grid shares one warm
+// set.
 type shard struct {
-	id    int
-	arr   *costarray.CostArray
-	queue chan *pending // FIFO dispatch; unused under EDF
+	id  int
+	arr *costarray.CostArray
 	// updates carries mutation deltas (ripped/committed canonical paths)
 	// from Server.Mutate to this shard's loop, which applies them to its
 	// replica between batches — the only goroutine that touches arr.
@@ -275,10 +286,8 @@ type servedCircuit struct {
 	grid     geom.Grid
 	baseline backend.Result
 	shards   []*shard
-	next     atomic.Uint64 // round-robin dispatch cursor (FIFO mode)
-	// queue is the circuit's deadline-ordered request queue; non-nil
-	// only under the EDF scheduler, where shards pull batches from it
-	// instead of owning FIFO queues.
+	// queue is the circuit's deadline-ordered request queue; every
+	// shard pulls its batches from it.
 	queue *policy.EDFQueue
 	// epoch counts committed paths across all of the circuit's shards
 	// plus applied store mutations: the result cache's invalidation
@@ -452,23 +461,16 @@ func (s *Server) newServedCircuit(name string, g geom.Grid, wires int, base back
 		baseline:  base,
 		mutable:   mutable,
 		cacheName: fmt.Sprintf("%s#%d", name, s.gen.Add(1)),
+		queue:     policy.NewEDFQueue(),
 		stop:      make(chan struct{}),
 	}
 	sc.wireCount.Store(int64(wires))
-	if s.chain.Sched() != nil {
-		sc.queue = policy.NewEDFQueue()
-	}
 	return sc
 }
 
 // newShard builds one replica around its private array clone.
 func (s *Server) newShard(id int, arr *costarray.CostArray) *shard {
-	return &shard{
-		id:      id,
-		arr:     arr,
-		queue:   make(chan *pending, s.cfg.MaxInFlight),
-		updates: make(chan shardUpdate, 64),
-	}
+	return &shard{id: id, arr: arr, updates: make(chan shardUpdate, 64)}
 }
 
 // serveStored builds serving state for a store-held circuit: shard
@@ -507,14 +509,9 @@ func (s *Server) register(sc *servedCircuit) {
 	sort.Strings(s.names)
 	s.mu.Unlock()
 	s.totalShards.Add(int64(len(sc.shards)))
-	edf := s.chain.Sched() != nil
 	for _, sh := range sc.shards {
 		s.loops.Add(1)
-		if edf {
-			go s.edfLoop(sc, sh)
-		} else {
-			go s.batchLoop(sc, sh)
-		}
+		go s.loop(sc, sh)
 	}
 }
 
@@ -572,8 +569,9 @@ func (s *Server) Route(ctx context.Context, req RouteRequest) (RouteResponse, er
 	// The default deadline is a service property, not a transport one:
 	// an embedder calling Route with a plain context gets the same
 	// criticality floor as an HTTP caller omitting deadline_ms. Without
-	// it, EDF would sort plain-context requests least-critical forever
-	// and evict them first at every full gate.
+	// it, the deadline queue would sort plain-context requests behind
+	// every deadline-carrying one, and preemption would evict them first
+	// at every full gate.
 	if _, has := ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
@@ -638,7 +636,8 @@ func (s *Server) Route(ctx context.Context, req RouteRequest) (RouteResponse, er
 		}
 	}
 
-	p := &pending{req: req, ctx: ctx, deadline: deadline, enqueued: now, done: make(chan outcome, 1)}
+	p := &pending{req: req, ctx: ctx, enqueued: now, done: make(chan outcome, 1)}
+	p.item = policy.Item{Deadline: deadline, Value: p}
 	if !s.gate.TryEnter() {
 		// Full gate: under the criticality scheduler, try to take the
 		// slot of a strictly less critical queued request instead of
@@ -662,20 +661,8 @@ func (s *Server) Route(ctx context.Context, req RouteRequest) (RouteResponse, er
 	p.span = span
 	p.traced = span.Traced()
 
-	if sched := s.chain.Sched(); sched != nil {
-		sched.NoteScheduled()
-		sc.queue.Push(&policy.Item{Deadline: deadline, Value: p})
-	} else {
-		sh := sc.shards[sc.next.Add(1)%uint64(len(sc.shards))]
-		select {
-		case sh.queue <- p:
-		case <-ctx.Done():
-			s.countExpired(p)
-			s.chain.Observe(time.Now(), true)
-			p.span.Mark(reqtrace.StageQueue)
-			return s.fail(&p.span, reqtrace.OutcomeExpired, ErrDeadline)
-		}
-	}
+	s.chain.Sched().NoteScheduled()
+	sc.queue.Push(&p.item)
 	select {
 	case out := <-p.done:
 		if errors.Is(out.err, policy.ErrEvicted) {

@@ -2,6 +2,7 @@ package locusd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -74,6 +75,30 @@ func TestRouteBasic(t *testing.T) {
 	}
 	if doc["cost"] == nil || doc["path_cells"].(float64) <= 0 {
 		t.Errorf("degenerate evaluation: %v", doc)
+	}
+}
+
+// TestRouteAllocs pins the in-process request path's allocation count:
+// default config, one shard, a plain context. The queue entry is
+// embedded in the pending request and batches are popped into a
+// loop-owned buffer, so deadline-ordered dispatch costs no allocation
+// per request beyond the pending request itself.
+func TestRouteAllocs(t *testing.T) {
+	s := newServer(t, Config{Shards: 1})
+	req := RouteRequest{Circuit: "svc", Wire: testWire(1)}
+	route := func() {
+		if _, err := s.Route(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route() // warm the scratch pool and the wire's pin cache
+	avg := testing.AllocsPerRun(100, route)
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector; the pin runs in the non-race suite")
+	}
+	const maxAllocs = 12
+	if avg > maxAllocs {
+		t.Errorf("Server.Route costs %.1f allocs/op, want <= %d", avg, maxAllocs)
 	}
 }
 
@@ -320,13 +345,15 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, into any) {
 // clean drain. The gate is sized above the offered load so nothing
 // sheds.
 func TestConcurrentLoad(t *testing.T) {
-	// A wide batching window parks the first wave of requests inside
-	// their shards' windows, so all 64 are provably in flight at once
-	// before any completes; later waves run at a normal window cadence.
+	// A wide batching window parks the first wave of requests in the
+	// circuit's queue, so all 64 are provably in flight at once before
+	// any completes; later waves run at a normal window cadence. MaxBatch
+	// sits above the wave: a full batch closes the window at once, which
+	// would retire the wave before the in-flight peak can be observed.
 	s := newServer(t, Config{
 		Shards:      4,
 		BatchWindow: 250 * time.Millisecond,
-		MaxBatch:    64,
+		MaxBatch:    128,
 		MaxInFlight: 1024,
 		Pool:        par.New(4),
 	})
@@ -355,8 +382,8 @@ func TestConcurrentLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// The first request per worker cannot complete before its shard's
-	// 250ms window closes, so in-flight must climb to all 64 workers.
+	// The first request per worker cannot complete before the 250ms
+	// window closes, so in-flight must climb to all 64 workers.
 	peak := 0
 	deadline := time.Now().Add(10 * time.Second)
 	for peak < workers && time.Now().Before(deadline) {

@@ -40,17 +40,26 @@ func postRouteAs(t testing.TB, ts *httptest.Server, client, body string) (int, h
 	return resp.StatusCode, resp.Header, doc
 }
 
-// TestEDFOrdering pins the tentpole scheduling property end to end:
-// with one shard, one EDF queue and a batch window wide enough to
-// collect every request, the batch is evaluated earliest-deadline-first
-// — batch_index follows deadline tightness, not arrival order.
+// TestEDFOrdering pins the dispatch order end to end: with one shard
+// and a batch window wide enough to collect every request, the batch is
+// evaluated earliest-deadline-first — batch_index follows deadline
+// tightness, not arrival order. The order does not depend on the
+// criticality scheduler: Policy.EDF only adds preemption at a full gate.
 func TestEDFOrdering(t *testing.T) {
+	for _, edf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("edf=%v", edf), func(t *testing.T) {
+			testDeadlineOrder(t, policy.Config{EDF: edf})
+		})
+	}
+}
+
+func testDeadlineOrder(t *testing.T, pol policy.Config) {
 	const n = 4
 	s := newServer(t, Config{
 		Shards:      1,
 		BatchWindow: 400 * time.Millisecond,
 		MaxBatch:    n, // the full wave closes the window early
-		Policy:      policy.Config{EDF: true},
+		Policy:      pol,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

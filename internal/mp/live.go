@@ -3,7 +3,6 @@ package mp
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locusroute/internal/assign"
@@ -52,7 +51,7 @@ func RunLive(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result,
 		circ:     circ,
 		asn:      asn,
 		part:     part,
-		truth:    newAtomicTruth(circ.Grid),
+		truth:    costarray.NewAtomic(circ.Grid),
 		lastCost: make([]int64, len(circ.Wires)),
 		inboxes:  make([]chan livePacket, cfg.Procs),
 	}
@@ -79,7 +78,7 @@ func RunLive(circ *circuit.Circuit, asn *assign.Assignment, cfg Config) (Result,
 	stopReduce := cfg.Obs.Phase("reduce")
 	defer stopReduce()
 	var res Result
-	res.Final = lr.truth.snapshot()
+	res.Final = lr.truth.Snapshot()
 	res.CircuitHeight = res.Final.CircuitHeight()
 	for _, c := range lr.lastCost {
 		res.Occupancy += c
@@ -123,38 +122,9 @@ type liveRun struct {
 	circ     *circuit.Circuit
 	asn      *assign.Assignment
 	part     geom.Partition
-	truth    *atomicTruth
-	lastCost []int64 // per wire; each slot written only by the wire's owner
+	truth    *costarray.Atomic // ground truth shared by every node
+	lastCost []int64           // per wire; each slot written only by the wire's owner
 	inboxes  []chan livePacket
-}
-
-// atomicTruth is the ground-truth cost array shared by concurrently
-// routing goroutines: per-cell atomic adds, like the shared memory
-// version's unlocked array.
-type atomicTruth struct {
-	grid  geom.Grid
-	cells []atomic.Int32
-}
-
-func newAtomicTruth(g geom.Grid) *atomicTruth {
-	return &atomicTruth{grid: g, cells: make([]atomic.Int32, g.Cells())}
-}
-
-// Add implements Truth.
-func (t *atomicTruth) Add(x, y int, d int32) { t.cells[y*t.grid.Grids+x].Add(d) }
-
-// At implements Truth.
-func (t *atomicTruth) At(x, y int) int32 { return t.cells[y*t.grid.Grids+x].Load() }
-
-// snapshot copies the current state into a plain cost array.
-func (t *atomicTruth) snapshot() *costarray.CostArray {
-	arr := costarray.New(t.grid)
-	for y := 0; y < t.grid.Channels; y++ {
-		for x := 0; x < t.grid.Grids; x++ {
-			arr.Set(x, y, t.At(x, y))
-		}
-	}
-	return arr
 }
 
 // liveNode is one goroutine processor.

@@ -139,7 +139,7 @@ func BenchmarkEDFQueuePushPop(b *testing.B) {
 			items[j] = Item{Deadline: base.Add(time.Duration((i*31+j*17)%1000) * time.Millisecond)}
 			q.Push(&items[j])
 		}
-		if got := len(q.PopBatch(len(items))); got != len(items) {
+		if got := len(q.PopBatch(nil, len(items))); got != len(items) {
 			b.Fatalf("popped %d of %d", got, len(items))
 		}
 	}

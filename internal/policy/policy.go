@@ -112,9 +112,10 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// CacheEntries enables the result cache with this capacity.
 	CacheEntries int
-	// EDF enables the criticality scheduler: earliest-deadline-first
-	// ordering inside the batch window, least-critical-first shedding at
-	// a full admission gate.
+	// EDF enables the criticality scheduler: least-critical-first
+	// shedding at a full admission gate, plus the edf counters. Batches
+	// are earliest-deadline-first whether or not it is set — that is the
+	// host's dispatch order, not an element.
 	EDF bool
 }
 
@@ -254,8 +255,8 @@ func (c *Chain) Release() {
 }
 
 // Sched returns the criticality scheduler, nil when EDF is disabled.
-// Hosts use it both as the on/off switch for EDF dispatch and as the
-// counter sink for scheduling decisions.
+// Hosts use it both as the on/off switch for preemption at a full gate
+// and as the counter sink for scheduling decisions.
 func (c *Chain) Sched() *Sched {
 	if c == nil {
 		return nil

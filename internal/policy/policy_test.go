@@ -379,7 +379,7 @@ func TestEDFQueueOrder(t *testing.T) {
 		}
 		q.Push(&Item{Deadline: d, Value: i})
 	}
-	batch := q.PopBatch(10)
+	batch := q.PopBatch(nil, 10)
 	var got []int
 	for _, it := range batch {
 		got = append(got, it.Value.(int))
@@ -396,7 +396,7 @@ func TestEDFQueueOrder(t *testing.T) {
 	if q.Len() != 0 {
 		t.Errorf("Len after full drain = %d, want 0", q.Len())
 	}
-	if q.PopBatch(1) != nil {
+	if q.PopBatch(nil, 1) != nil {
 		t.Error("PopBatch on empty queue != nil")
 	}
 }
@@ -406,7 +406,7 @@ func TestEDFQueuePartialBatch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(&Item{Deadline: t0.Add(time.Duration(i) * time.Millisecond), Value: i})
 	}
-	batch := q.PopBatch(3)
+	batch := q.PopBatch(nil, 3)
 	if len(batch) != 3 || batch[0].Value != 0 || batch[2].Value != 2 {
 		t.Fatalf("PopBatch(3) = %v", batch)
 	}
@@ -450,7 +450,7 @@ func TestEvictSlackest(t *testing.T) {
 		t.Errorf("Len = %d, want 1", q.Len())
 	}
 	// The evicted items must be gone from later pops.
-	batch := q.PopBatch(10)
+	batch := q.PopBatch(nil, 10)
 	if len(batch) != 1 || batch[0].Value != "tight" {
 		t.Fatalf("final PopBatch = %v, want only the tight item", batch)
 	}
@@ -521,7 +521,7 @@ func TestEDFQueueConcurrent(t *testing.T) {
 	go func() {
 		defer drain.Done()
 		for {
-			for _, it := range q.PopBatch(16) {
+			for _, it := range q.PopBatch(nil, 16) {
 				count(it)
 			}
 			select {

@@ -7,14 +7,16 @@ import (
 )
 
 // Sched is the criticality scheduler element: it switches the host from
-// FIFO round-robin dispatch to earliest-deadline-first ordering inside
-// the batch window, and from indiscriminate shedding to
-// least-critical-first shedding at a full admission gate. The data
-// structure doing the work is EDFQueue; Sched itself carries the
-// element identity and the scheduling counters the host bumps.
+// indiscriminate shedding to least-critical-first shedding at a full
+// admission gate, where an arrival preempts the slackest queued request
+// (EDFQueue.EvictSlackest) instead of being shed itself. Deadline-ordered
+// dispatch is not switched by it: hosts queue every request in an
+// EDFQueue either way. Sched itself carries the element identity and the
+// scheduling counters the host bumps.
 //
-// A nil *Sched means EDF is off; hosts use the nil test as the mode
-// switch and fall back to their FIFO path.
+// A nil *Sched means preemption is off. Every method is nil-safe, so
+// hosts bump the counters unconditionally and test for nil only before
+// preempting.
 type Sched struct {
 	scheduled atomic.Int64
 	batches   atomic.Int64
@@ -113,22 +115,17 @@ func (q *EDFQueue) Push(it *Item) {
 	q.Signal()
 }
 
-// PopBatch removes and returns up to max items in deadline order
-// (earliest first). It returns nil when the queue is empty.
-func (q *EDFQueue) PopBatch(max int) []*Item {
+// PopBatch removes up to max items in deadline order (earliest first)
+// and appends them to dst, returning the extended slice — dst itself
+// when the queue is empty. Hosts pass a buffer they reuse across
+// batches, so a pop allocates nothing.
+func (q *EDFQueue) PopBatch(dst []*Item, max int) []*Item {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.heap) == 0 || max < 1 {
-		return nil
+	for n := 0; n < max && len(q.heap) > 0; n++ {
+		dst = append(dst, q.popMin())
 	}
-	if max > len(q.heap) {
-		max = len(q.heap)
-	}
-	out := make([]*Item, 0, max)
-	for len(out) < max && len(q.heap) > 0 {
-		out = append(out, q.popMin())
-	}
-	return out
+	return dst
 }
 
 // Len reports the queued item count.

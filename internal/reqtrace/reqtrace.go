@@ -39,8 +39,8 @@ const (
 	// admission chain (per-element detail lands in Rec.Policy), cache
 	// lookup, and the concurrency-gate wait.
 	StageAdmit Stage = iota
-	// StageQueue covers dispatch to batch pickup: the EDF heap or FIFO
-	// shard-queue wait until a batch loop collected the request.
+	// StageQueue covers dispatch to batch pickup: the wait in the
+	// circuit's deadline queue until a shard loop collected the request.
 	StageQueue
 	// StageBatch covers batch pickup to this wire's evaluation: the
 	// in-batch wait while earlier members of the same batch route.

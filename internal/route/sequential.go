@@ -40,6 +40,15 @@ type Result struct {
 // It returns the final cost array alongside the result so callers can
 // inspect or render the routing.
 func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray) {
+	res, arr, _ := SequentialPaths(c, params)
+	return res, arr
+}
+
+// SequentialPaths is Sequential that also returns every wire's final
+// path, indexed like c.Wires. The paths sum to the returned array
+// exactly, which is what a caller needs to rip up and re-route single
+// wires later.
+func SequentialPaths(c *circuit.Circuit, params Params) (Result, *costarray.CostArray, []Path) {
 	params = params.withDefaults()
 	arr := costarray.New(c.Grid)
 	view := ArrayView{A: arr}
@@ -68,5 +77,5 @@ func Sequential(c *circuit.Circuit, params Params) (Result, *costarray.CostArray
 	for _, c := range lastCost {
 		res.Occupancy += c
 	}
-	return res, arr
+	return res, arr, paths
 }

@@ -11,44 +11,8 @@ import (
 	"locusroute/internal/route"
 )
 
-// AtomicArray is a shared cost array safe for concurrent use without
-// locks: each cell is accessed with atomic word operations, matching the
-// paper's unlocked shared cost array (the probability of collisions is
-// low and the algorithm tolerates them; atomics keep the Go program free
-// of data races).
-type AtomicArray struct {
-	grid  geom.Grid
-	cells []atomic.Int32
-}
-
-// NewAtomicArray returns a zeroed shared array.
-func NewAtomicArray(g geom.Grid) *AtomicArray {
-	return &AtomicArray{grid: g, cells: make([]atomic.Int32, g.Cells())}
-}
-
-// Grid returns the array dimensions.
-func (a *AtomicArray) Grid() geom.Grid { return a.grid }
-
-// At returns the value at (x, y).
-func (a *AtomicArray) At(x, y int) int32 { return a.cells[y*a.grid.Grids+x].Load() }
-
-// Add atomically adds d at (x, y).
-func (a *AtomicArray) Add(x, y int, d int32) { a.cells[y*a.grid.Grids+x].Add(d) }
-
-// Snapshot copies the current state into a plain cost array (for quality
-// measurement after the run).
-func (a *AtomicArray) Snapshot() *costarray.CostArray {
-	out := costarray.New(a.grid)
-	for y := 0; y < a.grid.Channels; y++ {
-		for x := 0; x < a.grid.Grids; x++ {
-			out.Set(x, y, a.At(x, y))
-		}
-	}
-	return out
-}
-
 // liveView adapts the atomic array to the router's CostView.
-type liveView struct{ a *AtomicArray }
+type liveView struct{ a *costarray.Atomic }
 
 func (v liveView) Grid() geom.Grid           { return v.a.Grid() }
 func (v liveView) Cost(x, y int) int32       { return v.a.At(x, y) }
@@ -63,7 +27,7 @@ func RunLive(circ *circuit.Circuit, cfg Config) (Result, error) {
 	if err := cfg.validate(circ); err != nil {
 		return Result{}, err
 	}
-	shared := NewAtomicArray(circ.Grid)
+	shared := costarray.NewAtomic(circ.Grid)
 	view := liveView{a: shared}
 
 	nWires := len(circ.Wires)

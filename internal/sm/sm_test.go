@@ -237,16 +237,3 @@ func TestLiveSingleProcMatchesSequentialHeight(t *testing.T) {
 		t.Errorf("1-proc live height %d != sequential %d", res.CircuitHeight, seq.CircuitHeight)
 	}
 }
-
-func TestAtomicArraySnapshot(t *testing.T) {
-	a := NewAtomicArray(geom.Grid{Channels: 4, Grids: 8})
-	a.Add(3, 2, 5)
-	a.Add(3, 2, -2)
-	snap := a.Snapshot()
-	if snap.At(3, 2) != 3 {
-		t.Errorf("snapshot = %d, want 3", snap.At(3, 2))
-	}
-	if a.At(0, 0) != 0 {
-		t.Errorf("untouched cell nonzero")
-	}
-}

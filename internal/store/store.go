@@ -383,7 +383,11 @@ func (s *Store) lookup(name string) *entry {
 
 // buildEntry routes c's baseline and assembles its resident state.
 func (s *Store) buildEntry(c *circuit.Circuit) *entry {
-	res, arr, paths := routeBaseline(c, s.params)
+	res, arr, paths := route.SequentialPaths(c, s.params)
+	byID := make(map[int]route.Path, len(c.Wires))
+	for i := range c.Wires {
+		byID[c.Wires[i].ID] = paths[i]
+	}
 	// The store owns a private copy: the caller keeps its circuit, and
 	// mutations must not alias the upload's backing arrays.
 	cc := &circuit.Circuit{Name: c.Name, Grid: c.Grid, Wires: make([]circuit.Wire, len(c.Wires))}
@@ -393,51 +397,13 @@ func (s *Store) buildEntry(c *circuit.Circuit) *entry {
 	e := &entry{
 		circ:     cc,
 		arr:      arr,
-		paths:    paths,
+		paths:    byID,
 		baseline: res,
 		scratch:  route.NewScratch(c.Grid),
 	}
 	e.bytes = e.estimateBytes()
 	e.slots = int((e.bytes + slotBytes - 1) / slotBytes)
 	return e
-}
-
-// routeBaseline mirrors route.Sequential exactly — same iteration
-// structure, same commit order, bit-identical final array — while
-// retaining the final per-wire paths keyed by wire id.
-// TestBaselineMatchesSequential pins the equivalence.
-func routeBaseline(c *circuit.Circuit, params route.Params) (route.Result, *costarray.CostArray, map[int]route.Path) {
-	params = params.Normalized()
-	arr := costarray.New(c.Grid)
-	view := route.ArrayView{A: arr}
-	scratch := route.NewScratch(c.Grid)
-	paths := make([]route.Path, len(c.Wires))
-	lastCost := make([]int64, len(c.Wires))
-	var res route.Result
-	for iter := 0; iter < params.Iterations; iter++ {
-		for i := range c.Wires {
-			w := &c.Wires[i]
-			if iter > 0 {
-				route.RipUp(view, paths[i])
-			}
-			ev := scratch.RouteWire(view, w, params)
-			cost := route.PathCost(view, ev.Path)
-			route.Commit(view, ev.Path)
-			paths[i] = ev.Path
-			lastCost[i] = cost
-			res.CellsExamined += int64(ev.CellsExamined)
-			res.WiresRouted++
-		}
-	}
-	res.CircuitHeight = arr.CircuitHeight()
-	for _, c := range lastCost {
-		res.Occupancy += c
-	}
-	byID := make(map[int]route.Path, len(c.Wires))
-	for i := range c.Wires {
-		byID[c.Wires[i].ID] = paths[i]
-	}
-	return res, arr, byID
 }
 
 // validateUpload checks semantic validity plus the wire protocol's

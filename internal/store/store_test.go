@@ -63,28 +63,6 @@ func checkInvariant(t *testing.T, s *Store, name string) {
 	}
 }
 
-// TestBaselineMatchesSequential pins routeBaseline to route.Sequential:
-// identical result, bit-identical array, and the retained paths sum to
-// that array.
-func TestBaselineMatchesSequential(t *testing.T) {
-	c := genCircuit(t, "base", 11)
-	params := route.DefaultParams()
-	wantRes, wantArr := route.Sequential(c, params)
-	gotRes, gotArr, paths := routeBaseline(c, params)
-	if gotRes != wantRes {
-		t.Errorf("result mismatch:\n got %+v\nwant %+v", gotRes, wantRes)
-	}
-	if !gotArr.Equal(wantArr) {
-		t.Error("baseline array differs from route.Sequential's")
-	}
-	if len(paths) != len(c.Wires) {
-		t.Fatalf("retained %d paths for %d wires", len(paths), len(c.Wires))
-	}
-	if !sumOfPaths(c.Grid, paths).Equal(wantArr) {
-		t.Error("retained paths do not sum to the canonical array")
-	}
-}
-
 func TestUploadMutateEvictSemantics(t *testing.T) {
 	s, err := Open(Config{})
 	if err != nil {

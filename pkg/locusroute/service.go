@@ -208,8 +208,10 @@ func WithResultCache(entries int) ServiceOption {
 }
 
 // WithEDFScheduling enables the criticality scheduler:
-// earliest-deadline-first ordering inside the batch window and
-// least-critical-first shedding at a full admission gate.
+// least-critical-first shedding at a full admission gate, where a
+// tighter-deadline arrival preempts the slackest queued request instead
+// of being shed itself. Batches are evaluated earliest-deadline-first
+// with or without it.
 func WithEDFScheduling() ServiceOption {
 	return func(c *serviceConfig) { c.cfg.Policy.EDF = true }
 }
