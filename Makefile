@@ -9,7 +9,7 @@ verify: ## build, vet, full tests, and race-test the concurrent packages
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sm/... ./internal/mp/... ./internal/sim/... ./internal/locusd/... ./internal/policy/... ./internal/part/... ./internal/wire/... ./internal/reqtrace/... ./internal/store/...
+	$(GO) test -race ./internal/sm/... ./internal/mp/... ./internal/sim/... ./internal/locusd/... ./internal/policy/... ./internal/part/... ./internal/wire/... ./internal/reqtrace/... ./internal/store/... ./internal/route/... ./internal/backend/...
 
 build:
 	$(GO) build ./...

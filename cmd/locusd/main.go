@@ -7,7 +7,7 @@
 //	locusd [-addr :8347] [-listen-bin addr] [-bench bnrE|MDC|both]
 //	       [-seed 1] [-circuit file]
 //	       [-backend sequential|sm-live|sm-traced|mp-des|mp-live]
-//	       [-procs 16] [-shards 4] [-batch-window 2ms] [-max-batch 64]
+//	       [-procs 16] [-shards 4] [-batch-window 0] [-max-batch 64]
 //	       [-max-in-flight 256] [-deadline 5s] [-par N]
 //	       [-admit-floor 0] [-rate-limit 0] [-rate-burst 0]
 //	       [-breaker-failures 0] [-breaker-cooldown 1s] [-cache-size 0]
@@ -105,7 +105,7 @@ func main() {
 		procs       = flag.Int("procs", 16, "processors for the baseline backend")
 		partitions  = flag.Int("partitions", 0, "leaf regions for the partitioned baseline backend (0 = backend default)")
 		shards      = flag.Int("shards", 4, "serving replicas per circuit")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long a shard waits to grow a batch")
+		batchWindow = flag.Duration("batch-window", 0, "how long a shard holds a batch open for more requests (0 = no window: route as soon as work is queued)")
 		maxBatch    = flag.Int("max-batch", 64, "max wires per batch")
 		maxInFlight = flag.Int("max-in-flight", 256, "admitted requests before shedding 429s")
 		deadline    = flag.Duration("deadline", 5*time.Second, "default per-request deadline")

@@ -10,8 +10,8 @@ import (
 
 // TestScratchPoolAllocs pins the pooled per-request routing cost: a
 // Get/RouteWire/Put cycle must stay at the reused-scratch allocation
-// floor (the caller-owned Path copy), not the 12 allocs/op of the
-// standalone fresh-Scratch path recorded in BENCH_route.json.
+// floor (the caller-owned Path copy), not the 9 allocs/op of the
+// standalone fresh-Scratch path (BenchmarkRouteWireStandalone).
 func TestScratchPoolAllocs(t *testing.T) {
 	c, err := BnrE(7)
 	if err != nil {
@@ -22,7 +22,7 @@ func TestScratchPoolAllocs(t *testing.T) {
 	params := route.DefaultParams()
 	w := &c.Wires[17]
 	var pool ScratchPool
-	// Warm the pool and the per-wire pin cache outside the measurement.
+	// Warm the pool and the scratch's buffers outside the measurement.
 	s := pool.Get(c.Grid)
 	s.RouteWire(view, w, params)
 	pool.Put(c.Grid, s)
@@ -39,9 +39,9 @@ func TestScratchPoolAllocs(t *testing.T) {
 		t.Skip("allocation counts are inflated under the race detector; the <=2 pin runs in the non-race suite")
 	}
 	// One allocation is inherent (takePath's caller-owned copy); allow
-	// one more for pool-internal noise. The fresh-Scratch path costs 12.
+	// one more for pool-internal noise. The fresh-Scratch path costs 9.
 	if avg > 2 {
-		t.Errorf("pooled route cycle costs %.1f allocs/op, want <= 2 (fresh Scratch costs 12)", avg)
+		t.Errorf("pooled route cycle costs %.1f allocs/op, want <= 2 (fresh Scratch costs 9)", avg)
 	}
 }
 

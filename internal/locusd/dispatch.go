@@ -12,19 +12,25 @@ import (
 // requests become batches on a serving shard. Route pushes every
 // request onto its circuit's deadline-ordered queue; each of the
 // circuit's shards runs loop, which pulls the next batch from that one
-// shared queue — the paper's shared memory distributed loop, where
-// processes take the next wire from one counter instead of owning a
-// static share. The first arrival opens the batch window, the batch is
-// popped earliest-deadline-first, and with the criticality scheduler
-// enabled a full admission gate preempts the slackest queued request
-// instead of shedding the arrival (preempt).
+// shared queue — the paper's shared memory distributed loop, where a
+// free process takes the next wire from one counter at once instead of
+// owning a static share or waiting for a batch to fill. Dispatch is
+// work-conserving by default: a shard that wakes to a non-empty queue
+// pops it straight away, and batches form from whatever queued while
+// the circuit's shards were busy. A positive BatchWindow instead holds
+// the first arrival until the window closes or MaxBatch requests are
+// queued. Batches are popped earliest-deadline-first, and with the
+// criticality scheduler enabled a full admission gate preempts the
+// slackest queued request instead of shedding the arrival (preempt).
 
 // loop pulls deadline-ordered batches from the circuit's shared queue.
-// Requests stay in the queue until the window closes — that is what
-// keeps them visible to preempt — and PopBatch hands them over already
-// in earliest-deadline-first order, so the shard commits the most
-// critical work first. The batch buffer is owned by the loop and reused
-// for every batch: Pool.Run returns only once process is done with it.
+// With no window it pops up to MaxBatch requests as soon as it wakes,
+// and creates no timer. With a window, requests stay in the queue until
+// the window closes — that is what keeps them visible to preempt.
+// Either way PopBatch hands them over already in earliest-deadline-first
+// order, so the shard commits the most critical work first. The batch
+// buffer is owned by the loop and reused for every batch: Pool.Run
+// returns only once process is done with it.
 func (s *Server) loop(sc *servedCircuit, sh *shard) {
 	defer s.loops.Done()
 	q := sc.queue
@@ -47,27 +53,9 @@ func (s *Server) loop(sc *servedCircuit, sh *shard) {
 				return
 			}
 		}
-		// First arrival seen: open the window. More arrivals only bump
-		// the wake channel; the queue orders them. The loop condition
-		// re-checks the queue depth before every wait: a burst of >=
-		// MaxBatch pushes coalesces into the single buffered wake (often
-		// consumed by the empty-queue wait above), so waiting for another
-		// signal would sleep the whole window with a full batch already
-		// queued.
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	window:
-		for q.Len() < s.cfg.MaxBatch {
-			select {
-			case <-timer.C:
-				break window
-			case u := <-sh.updates:
-				sh.apply(u)
-			case <-s.stop:
-				break window
-			case <-q.C():
-			}
+		if s.cfg.BatchWindow > 0 {
+			s.window(q, sh)
 		}
-		timer.Stop()
 		sh.drainUpdates()
 		batch = q.PopBatch(batch[:0], s.cfg.MaxBatch)
 		if q.Len() > 0 {
@@ -81,6 +69,29 @@ func (s *Server) loop(sc *servedCircuit, sh *shard) {
 		}
 		s.chain.Sched().NoteBatch()
 		s.cfg.Pool.Run(func() { s.process(sh, sc, batch) })
+	}
+}
+
+// window holds a batch open after its first arrival until BatchWindow
+// passes, MaxBatch requests are queued, or the server stops. More
+// arrivals only bump the wake channel; the queue orders them. The loop
+// condition re-checks the queue depth before every wait: a burst of >=
+// MaxBatch pushes coalesces into the single buffered wake (often
+// consumed by loop's empty-queue wait), so waiting for another signal
+// would sleep the whole window with a full batch already queued.
+func (s *Server) window(q *policy.EDFQueue, sh *shard) {
+	timer := time.NewTimer(s.cfg.BatchWindow)
+	defer timer.Stop()
+	for q.Len() < s.cfg.MaxBatch {
+		select {
+		case <-timer.C:
+			return
+		case u := <-sh.updates:
+			sh.apply(u)
+		case <-s.stop:
+			return
+		case <-q.C():
+		}
 	}
 }
 
@@ -262,7 +273,10 @@ func (s *Server) process(sh *shard, sc *servedCircuit, batch []*policy.Item) {
 // the Retry-After a 429 carries. The gate's in-flight count is the
 // backlog; every batch window the shards can retire up to
 // totalShards*MaxBatch of it. The estimate is rounded up to whole
-// seconds (the header's unit), minimum 1.
+// seconds (the header's unit), minimum 1. With no window (the default)
+// it is always that 1-second floor, on purpose: the backlog then drains
+// at routing speed, and even a full default gate (256 requests at tens
+// of microseconds each) clears in far less than a second.
 func (s *Server) RetryAfterSeconds() int {
 	perWindow := int(s.totalShards.Load()) * s.cfg.MaxBatch
 	if perWindow < 1 {

@@ -25,13 +25,14 @@
 // preemption. Every element is nil when disabled, at zero measurable
 // cost (BENCH_policy.json).
 //
-// Requests a shard pulls within one batching window are grouped and
-// evaluated back to back through a route.Scratch borrowed from a
-// grid-keyed backend.ScratchPool for the batch (reused scratch space is
-// what makes the steady state allocation-free). A
-// par.Gate bounds admitted requests — a full gate sheds load with HTTP
-// 429 rather than queueing without bound — and a par.Pool bounds how
-// many shards evaluate batches at once.
+// Requests a shard pulls at once — whatever queued while the circuit's
+// shards were busy, or, with a batching window, everything that arrived
+// within it — are grouped and evaluated back to back through a
+// route.Scratch borrowed from a grid-keyed backend.ScratchPool for the
+// batch (reused scratch space is what makes the steady state
+// allocation-free). A par.Gate bounds admitted requests — a full gate
+// sheds load with HTTP 429 rather than queueing without bound — and a
+// par.Pool bounds how many shards evaluate batches at once.
 package locusd
 
 import (
@@ -72,8 +73,13 @@ type Config struct {
 	Partitions int
 	// Shards is the number of serving replicas per circuit (default 4).
 	Shards int
-	// BatchWindow is how long a shard waits for more requests after the
-	// first of a batch arrives (default 2ms).
+	// BatchWindow is how long a shard holds a batch open for more
+	// requests after the first arrives. Zero (the default; negative
+	// values count as zero) means no window: a shard routes as soon as
+	// work is queued, and batches form only from requests that queued
+	// while the circuit's shards were busy. A window trades latency for
+	// larger batches and keeps queued requests visible to preemption
+	// for longer.
 	BatchWindow time.Duration
 	// MaxBatch caps the wires evaluated in one batch (default 64).
 	MaxBatch int
@@ -124,8 +130,8 @@ func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 4
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
+	if c.BatchWindow < 0 {
+		c.BatchWindow = 0
 	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 64

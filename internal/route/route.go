@@ -10,8 +10,6 @@
 package route
 
 import (
-	"sort"
-
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 )
@@ -139,36 +137,6 @@ func RipUp(view CostView, path Path) {
 	for _, c := range path.Cells {
 		view.AddCost(c.X, c.Y, -1)
 	}
-}
-
-// sortedPins returns the wire's pins sorted by (X, Y) without mutating
-// the wire. Already-sorted pin lists (the common case for generated
-// circuits) are returned as-is, without copying; callers must treat the
-// result as read-only.
-func sortedPins(w *circuit.Wire) []geom.Point {
-	sorted := true
-	for i := 1; i < len(w.Pins); i++ {
-		if pinLess(w.Pins[i], w.Pins[i-1]) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return w.Pins
-	}
-	pins := make([]geom.Point, len(w.Pins))
-	copy(pins, w.Pins)
-	sort.Slice(pins, func(i, j int) bool { return pinLess(pins[i], pins[j]) })
-	return pins
-}
-
-// pinLess is the pin ordering of the segment decomposition: by X, ties by
-// Y.
-func pinLess(a, b geom.Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
 }
 
 // hvhPath builds the cell list for the horizontal-vertical-horizontal

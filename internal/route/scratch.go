@@ -1,6 +1,9 @@
 package route
 
 import (
+	"cmp"
+	"slices"
+
 	"locusroute/internal/circuit"
 	"locusroute/internal/geom"
 )
@@ -17,8 +20,9 @@ import (
 //   - cells accumulates the winning path of the wire being routed; the
 //     kernel costs candidates by walking their coordinates against the
 //     CostView and materialises cells only for the winner.
-//   - pins caches each wire's sorted pin list across rip-up iterations,
-//     keyed by wire ID and validated against the wire pointer.
+//   - pins holds the sorted copy of the current wire's pin list when the
+//     wire's own list is out of order; the next wire overwrites it, so
+//     a Scratch keeps no reference to, or state about, earlier wires.
 //
 // Scratch is not safe for concurrent use. The CostView stays the seam
 // between the kernel and its callers: tracing, atomics, and message
@@ -30,15 +34,7 @@ type Scratch struct {
 	epoch   uint64
 	cells   []geom.Point
 	coster  costSink
-	pins    map[int]pinEntry
-}
-
-// pinEntry is one cached sorted pin list. The wire pointer validates the
-// entry: a different *Wire with the same ID (e.g. a synthetic per-segment
-// wire) recomputes rather than reusing stale pins.
-type pinEntry struct {
-	w    *circuit.Wire
-	pins []geom.Point
+	pins    []geom.Point
 }
 
 // NewScratch returns a Scratch sized for grid g.
@@ -61,19 +57,28 @@ func (s *Scratch) ensure(g geom.Grid) {
 	s.cells = s.cells[:0]
 }
 
-// SortedPins returns w's pins sorted by (X, Y), cached for the lifetime
-// of the scratch. Callers must not mutate the returned slice, and must
-// not mutate w.Pins while the scratch is in use.
+// SortedPins returns w's pins sorted by (X, Y). An already-sorted list
+// (the common case for generated circuits) is w.Pins itself; otherwise
+// the pins are sorted into the scratch's own buffer, which is valid
+// until the next SortedPins or RouteWire call. Callers must not mutate
+// the returned slice. Nothing is cached: w.Pins is read on every call,
+// so a wire whose pins change in place routes with its new pins.
 func (s *Scratch) SortedPins(w *circuit.Wire) []geom.Point {
-	if e, ok := s.pins[w.ID]; ok && e.w == w {
-		return e.pins
+	if slices.IsSortedFunc(w.Pins, comparePins) {
+		return w.Pins
 	}
-	pins := sortedPins(w)
-	if s.pins == nil {
-		s.pins = make(map[int]pinEntry)
+	s.pins = append(s.pins[:0], w.Pins...)
+	slices.SortFunc(s.pins, comparePins)
+	return s.pins
+}
+
+// comparePins is the pin ordering of the segment decomposition: by X,
+// ties by Y.
+func comparePins(a, b geom.Point) int {
+	if a.X != b.X {
+		return cmp.Compare(a.X, b.X)
 	}
-	s.pins[w.ID] = pinEntry{w: w, pins: pins}
-	return pins
+	return cmp.Compare(a.Y, b.Y)
 }
 
 // RouteWire evaluates the candidate routes for w against view and returns

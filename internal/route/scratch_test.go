@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -50,34 +51,74 @@ func TestScratchReuseMatchesStandalone(t *testing.T) {
 	}
 }
 
-// The sorted-pin cache is keyed by wire ID but validated by pointer: a
-// different wire with a recycled ID must not reuse stale pins.
-func TestScratchPinCacheInvalidation(t *testing.T) {
+// A scratch must always route a wire with the pins it has now: a
+// different wire recycling an ID, and the same wire object whose pins
+// were rewritten in place (a store reroute with new pins keeps both the
+// pointer and the ID), must each route from their new pins.
+func TestScratchPinMutation(t *testing.T) {
 	v := emptyView(6, 40)
 	s := NewScratch(v.Grid())
+	wantPins := func(name string, ev Eval, in []geom.Point, out ...geom.Point) {
+		t.Helper()
+		set := pathSet(ev.Path)
+		for _, p := range in {
+			if !set[p] {
+				t.Fatalf("%s: path misses pin %v: %v", name, p, ev.Path.Cells)
+			}
+		}
+		for _, p := range out {
+			if set[p] {
+				t.Fatalf("%s: path contains stale pin %v: %v", name, p, ev.Path.Cells)
+			}
+		}
+	}
 
 	w1 := &circuit.Wire{ID: 7, Pins: []geom.Point{geom.Pt(30, 2), geom.Pt(5, 1)}}
 	ev1 := s.RouteWire(v, w1, DefaultParams())
-	if !pathSet(ev1.Path)[geom.Pt(30, 2)] || !pathSet(ev1.Path)[geom.Pt(5, 1)] {
-		t.Fatalf("first wire path misses its pins: %v", ev1.Path.Cells)
-	}
+	wantPins("first wire", ev1, w1.Pins)
 
 	// Same ID, different wire object and different pins.
 	w2 := &circuit.Wire{ID: 7, Pins: []geom.Point{geom.Pt(10, 5), geom.Pt(20, 0)}}
-	ev2 := s.RouteWire(v, w2, DefaultParams())
-	set := pathSet(ev2.Path)
-	if !set[geom.Pt(10, 5)] || !set[geom.Pt(20, 0)] {
-		t.Fatalf("recycled-ID wire routed with stale pins: %v", ev2.Path.Cells)
-	}
-	if set[geom.Pt(5, 1)] {
-		t.Fatalf("recycled-ID wire path contains the old wire's pin")
+	wantPins("recycled-ID wire", s.RouteWire(v, w2, DefaultParams()), w2.Pins, geom.Pt(5, 1))
+
+	// Re-routing the first wire again must reproduce its evaluation.
+	if ev1b := s.RouteWire(v, w1, DefaultParams()); !evalsEqual(ev1, ev1b) {
+		t.Fatalf("re-route differs: %+v vs %+v", ev1, ev1b)
 	}
 
-	// Re-routing the first wire again (same pointer) must hit the cache
-	// and still be correct.
-	ev1b := s.RouteWire(v, w1, DefaultParams())
-	if !evalsEqual(ev1, ev1b) {
-		t.Fatalf("cached re-route differs: %+v vs %+v", ev1, ev1b)
+	// Same pointer, same ID, new pins (unsorted, so the scratch buffer is
+	// exercised): the route must follow the new pins and equal a fresh
+	// scratch's evaluation.
+	w1.Pins = []geom.Point{geom.Pt(38, 4), geom.Pt(33, 0), geom.Pt(35, 5)}
+	ev3 := s.RouteWire(v, w1, DefaultParams())
+	wantPins("rewritten pins", ev3, w1.Pins, geom.Pt(30, 2), geom.Pt(5, 1))
+	if want := RouteWire(v, w1, DefaultParams()); !evalsEqual(ev3, want) {
+		t.Fatalf("rewritten pins: scratch eval %+v != standalone %+v", ev3, want)
+	}
+	// The unsorted input is sorted into a copy, never in place.
+	if w1.Pins[0] != geom.Pt(38, 4) {
+		t.Fatalf("SortedPins mutated the wire's pins: %v", w1.Pins)
+	}
+}
+
+// SortedPins costs no allocation once the scratch's buffer has grown:
+// sorted lists are returned as-is and unsorted ones reuse the buffer.
+func TestSortedPinsAllocs(t *testing.T) {
+	s := NewScratch(emptyView(6, 40).Grid())
+	sorted := &circuit.Wire{ID: 1, Pins: []geom.Point{geom.Pt(1, 1), geom.Pt(9, 0), geom.Pt(9, 3)}}
+	unsorted := &circuit.Wire{ID: 2, Pins: []geom.Point{geom.Pt(9, 3), geom.Pt(1, 1), geom.Pt(9, 0)}}
+	if got := s.SortedPins(sorted); &got[0] != &sorted.Pins[0] {
+		t.Fatal("sorted pin list was copied")
+	}
+	want := []geom.Point{geom.Pt(1, 1), geom.Pt(9, 0), geom.Pt(9, 3)}
+	if got := s.SortedPins(unsorted); !slices.Equal(got, want) {
+		t.Fatalf("SortedPins = %v, want %v", got, want)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		s.SortedPins(sorted)
+		s.SortedPins(unsorted)
+	}); avg != 0 {
+		t.Fatalf("SortedPins costs %.1f allocs/op, want 0", avg)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"locusroute/internal/circuit"
@@ -458,4 +460,100 @@ func TestConcurrentLifecycle(t *testing.T) {
 			checkInvariant(t, s, c.Name)
 		}
 	}
+}
+
+// TestRerouteWithNewPins pins that a reroute carrying pins routes the
+// wire from those pins even after the same wire was rerouted before:
+// the wire keeps its ID and its slot in the circuit while its pins are
+// rewritten in place, so any per-wire state the router keeps across
+// calls would answer with the old pins. The routed path must be exactly
+// the kernel's route of the new wire on the pre-op array minus the
+// ripped path.
+func TestRerouteWithNewPins(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	c := genCircuit(t, "bnrE", 1)
+	if _, err := s.Upload(c); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	id := c.Wires[0].ID
+	if _, err := s.Mutate("bnrE", []Op{{Kind: OpReroute, WireID: id}}); err != nil {
+		t.Fatalf("reroute without pins: %v", err)
+	}
+	pre, ok := s.CloneArray("bnrE")
+	if !ok {
+		t.Fatal("CloneArray failed")
+	}
+	// Out of (X, Y) order on purpose: the router sorts a copy.
+	pins := []geom.Point{geom.Pt(330, 9), geom.Pt(300, 8)}
+	res, err := s.Mutate("bnrE", []Op{{Kind: OpReroute, WireID: id, Pins: pins}})
+	if err != nil {
+		t.Fatalf("reroute with pins: %v", err)
+	}
+	r := res.Results[0]
+	set := make(map[geom.Point]bool, r.Routed.Len())
+	for _, cell := range r.Routed.Cells {
+		set[cell] = true
+	}
+	for _, p := range pins {
+		if !set[p] {
+			t.Fatalf("rerouted path misses new pin %v: %v", p, r.Routed.Cells)
+		}
+	}
+	view := route.ArrayView{A: pre}
+	route.RipUp(view, r.Ripped)
+	want := route.RouteWire(view, &circuit.Wire{ID: id, Pins: pins}, s.params)
+	if !slices.Equal(r.Routed.Cells, want.Path.Cells) || r.CellsExamined != want.CellsExamined {
+		t.Fatalf("rerouted path %v (%d examined), kernel on the pre-op array gives %v (%d examined)",
+			r.Routed.Cells, r.CellsExamined, want.Path.Cells, want.CellsExamined)
+	}
+	checkInvariant(t, s, "bnrE")
+}
+
+// TestAddRemoveMemoryFlat pins that a store entry retains nothing of the
+// wires it no longer holds: 20k add-then-remove cycles on fresh wire ids
+// must leave the live heap where it was. A router that kept per-wire
+// state keyed by id would grow by tens of bytes per cycle (megabytes
+// here).
+func TestAddRemoveMemoryFlat(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	c := smallCircuit(t, "flat", 5)
+	if _, err := s.Upload(c); err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	cycle := func(id int) {
+		add := []Op{{Kind: OpAdd, WireID: id, Pins: []geom.Point{geom.Pt(30, 3), geom.Pt(4, 0), geom.Pt(17, 2)}}}
+		if _, err := s.Mutate("flat", add); err != nil {
+			t.Fatalf("add %d: %v", id, err)
+		}
+		if _, err := s.Mutate("flat", []Op{{Kind: OpRemove, WireID: id}}); err != nil {
+			t.Fatalf("remove %d: %v", id, err)
+		}
+	}
+	const base, cycles = 1000, 20000
+	// Warm up: let every buffer and map reach its steady size first.
+	for i := 0; i < 100; i++ {
+		cycle(base + i)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 100; i < cycles; i++ {
+		cycle(base + i)
+	}
+	after := heap()
+	const limit = 256 << 10
+	if after > before && after-before > limit {
+		t.Fatalf("%d add/remove cycles grew the live heap by %d B (limit %d B)", cycles, after-before, limit)
+	}
+	checkInvariant(t, s, "flat")
 }

@@ -144,8 +144,10 @@ func WithShards(n int) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.Shards = n }
 }
 
-// WithBatchWindow sets how long a shard waits to grow a batch after its
-// first request arrives (default 2ms).
+// WithBatchWindow sets how long a shard holds a batch open for more
+// requests after its first arrives. The default, 0 (as is any negative
+// value), is no window: a shard routes as soon as work is queued, and
+// batches form from requests that queued while the shards were busy.
 func WithBatchWindow(d time.Duration) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.BatchWindow = d }
 }
